@@ -1,14 +1,12 @@
-//! Query-path scaling: concurrent readers over settled data, read-locked
-//! fast path versus the pre-overhaul write-locked baseline.
+//! Query-path scaling: concurrent readers over settled data on the
+//! read-locked fast path.
 //!
 //! Usage: `query_bench [--ops N] [--threads T] [--shards S] [--smoke]
 //! [--cache-bytes B] [--json] [--stats-json PATH]`
 //! Without `--threads` the sweep runs {1, 2, 4, 8} reader threads; without
-//! `--shards` it compares engine shard counts {1, 4}. Every cell runs
-//! twice — mode `read` drives `StorageEngine::query` (shared lock,
-//! streaming k-way merge) and mode `exclusive` drives
-//! `StorageEngine::query_exclusive` (write lock, collect + re-sort) — so
-//! the table reads as a before/after of the read-path overhaul.
+//! `--shards` it compares engine shard counts {1, 4}. Query cells run
+//! in mode `read`: `StorageEngine::query` (shared lock, streaming k-way
+//! merge).
 //! `--smoke` shrinks the dataset and query counts for CI.
 //! `--cache-bytes B` sets the engine's block-cache budget for every cell
 //! (0 disables the cache). `--stats-json PATH` shares one metrics
@@ -23,7 +21,7 @@
 
 use std::sync::Arc;
 
-use backsort_benchmark::{run_query_bench_with, BenchConfig, QueryMode};
+use backsort_benchmark::{run_query_bench_with, BenchConfig};
 use backsort_core::Algorithm;
 use backsort_workload::DelayModel;
 
@@ -93,7 +91,7 @@ pub fn main() {
         table::print_json(&json_rows);
         return;
     }
-    table::heading("Query-path scaling (read-locked fast path vs exclusive baseline)");
+    table::heading("Query-path scaling (read-locked fast path)");
     table::print_table(
         &[
             "shards",
@@ -198,7 +196,6 @@ fn run_ingest_cell(
         wall_ms: wall.as_secs_f64() * 1e3,
         read_lock_queries: 0,
         sorted_on_read_queries: 0,
-        exclusive_queries: 0,
         files_considered: 0,
         files_pruned: 0,
         files_pruned_by_filter: 0,
@@ -248,8 +245,7 @@ pub fn run_high_cardinality_cells(
                 use_file_filters: filters,
                 ..base
             };
-            let mut report =
-                run_query_bench_with(&config, 2, 50, QueryMode::ReadLocked, registry.clone());
+            let mut report = run_query_bench_with(&config, 2, 50, registry.clone());
             report.mode = mode.to_string();
             report
         })
@@ -276,7 +272,7 @@ pub fn run_cells(
     )
 }
 
-/// Runs the full (shards × threads × sorter × mode) grid — plus one
+/// Runs the full (shards × threads × sorter) grid of `read` cells — plus one
 /// ingest sweep cell per (shards × sorter × batch size) and one
 /// high-cardinality filter/envelope cell pair per sorter — and returns
 /// the per-cell reports. Shared by [`main`] and the perf-smoke
@@ -313,15 +309,12 @@ pub fn run_cells_with_cache(
                     seed: 42,
                     ..BenchConfig::default()
                 };
-                for mode in [QueryMode::ReadLocked, QueryMode::Exclusive] {
-                    reports.push(run_query_bench_with(
-                        &config,
-                        threads,
-                        queries_per_thread,
-                        mode,
-                        registry.clone(),
-                    ));
-                }
+                reports.push(run_query_bench_with(
+                    &config,
+                    threads,
+                    queries_per_thread,
+                    registry.clone(),
+                ));
             }
         }
         for &sorter in sorters {

@@ -219,7 +219,6 @@ impl StorageEngine {
     /// ascending order (the engine's lock-ordering rule); files never
     /// move between shards, so per-shard merging loses nothing.
     pub fn compact(&self) -> CompactionReport {
-        let span_start = std::time::Instant::now();
         let _trace = self.trace_always(backsort_obs::names::SPAN_COMPACTION_ROOT, || {
             "compact full".to_string()
         });
@@ -231,7 +230,7 @@ impl StorageEngine {
             }
             total.absorb(self.compact_shard(shard));
         }
-        self.record_compaction(&total, span_start);
+        self.record_compaction(&total);
         total
     }
 
@@ -245,7 +244,6 @@ impl StorageEngine {
     /// continuously: write amplification is bounded by the leveling
     /// ladder instead of re-rewriting every byte per pass.
     pub fn compact_auto(&self) -> CompactionReport {
-        let span_start = std::time::Instant::now();
         let _trace = self.trace_always(backsort_obs::names::SPAN_COMPACTION_ROOT, || {
             "compact auto".to_string()
         });
@@ -257,11 +255,11 @@ impl StorageEngine {
             }
             total.absorb(self.compact_shard_leveled(shard));
         }
-        self.record_compaction(&total, span_start);
+        self.record_compaction(&total);
         total
     }
 
-    fn record_compaction(&self, total: &CompactionReport, span_start: std::time::Instant) {
+    fn record_compaction(&self, total: &CompactionReport) {
         let obs = self.obs();
         obs.counter(backsort_obs::names::COMPACTION_RUNS).inc();
         obs.counter(backsort_obs::names::COMPACTION_BYTES_IN)
@@ -272,11 +270,6 @@ impl StorageEngine {
             obs.counter(backsort_obs::names::COMPACTION_LEVEL_MOVES)
                 .add(total.level_moves);
         }
-        obs.tracer().record(
-            backsort_obs::names::SPAN_COMPACTION,
-            format!("files_in={} files_out={}", total.files_in, total.files_out),
-            span_start.elapsed().as_nanos() as u64,
-        );
     }
 
     /// Merges the run `handles[a..b)` into one image: gathers every
@@ -410,7 +403,8 @@ impl StorageEngine {
         // The merged file carries a fresh id: the durable store sees the
         // old ids vanish and this one appear, and re-persists accordingly.
         // analyzer:allow(panic-freedom): the image was produced by our own writer one call above; dropping it on a parse error would silently discard the inputs' data
-        let handle = FileHandle::parse(self.alloc_file_id(), image)
+        let handle = self
+            .parse_file(image)
             .expect("compacted image parses")
             .with_level(out_level);
         self.publish(shard, vec![handle], tombstones, 0, files_in, true);
@@ -469,7 +463,8 @@ impl StorageEngine {
                     Some((image, points)) => {
                         let bytes_out = image.len() as u64;
                         // analyzer:allow(panic-freedom): the image was produced by our own writer one call above; dropping it on a parse error would silently discard the inputs' data
-                        let handle = FileHandle::parse(self.alloc_file_id(), image)
+                        let handle = self
+                            .parse_file(image)
                             .expect("compacted image parses")
                             .with_level(level);
                         // Crash site: the level-move's output exists (id
@@ -541,6 +536,34 @@ mod tests {
 
     fn key(s: &str) -> SeriesKey {
         SeriesKey::new("root.sg.d1", s)
+    }
+
+    #[test]
+    fn compaction_passes_are_traced_roots() {
+        let eng = leveled_engine(50, 2, 2);
+        for t in 0..400i64 {
+            eng.write(&key(&format!("s{}", t % 2)), t, TsValue::Long(t));
+        }
+        eng.compact_auto();
+        eng.compact();
+        let passes: Vec<_> = eng
+            .obs()
+            .traces()
+            .recent()
+            .into_iter()
+            .filter(|t| t.spans[0].name == backsort_obs::names::SPAN_COMPACTION_ROOT)
+            .collect();
+        assert_eq!(passes.len(), 2, "one compaction.root per pass");
+        for t in &passes {
+            let shards: Vec<u64> = t.spans[1..]
+                .iter()
+                .filter(|s| s.name == backsort_obs::names::SPAN_COMPACTION_SHARD)
+                .flat_map(|s| s.attrs.iter())
+                .filter(|(k, _)| *k == backsort_obs::names::ATTR_SHARD)
+                .map(|(_, v)| *v)
+                .collect();
+            assert_eq!(shards, vec![0, 1], "one child per shard: {t:?}");
+        }
     }
 
     #[test]

@@ -145,8 +145,8 @@ pub type QueryResult = Vec<(i64, TsValue)>;
 pub struct FlushJob {
     shard: usize,
     memtable: MemTable,
-    /// When the rotation happened — the start of the submit→install span
-    /// the tracer records at completion.
+    /// When the rotation happened; completion records the wait since
+    /// as `flush.root`'s `queue_wait_nanos`.
     submitted: Instant,
 }
 
@@ -271,7 +271,6 @@ struct EngineObs {
     flush_queue_depth: Arc<Gauge>,
     read_path: Arc<Counter>,
     sorted_on_read: Arc<Counter>,
-    exclusive_path: Arc<Counter>,
     files_considered: Arc<Counter>,
     files_pruned: Arc<Counter>,
     files_pruned_by_filter: Arc<Counter>,
@@ -286,6 +285,7 @@ struct EngineObs {
     flush_write_nanos: Arc<Counter>,
     flush_points: Arc<Counter>,
     flush_bytes: Arc<Counter>,
+    file_parse: Arc<Counter>,
 }
 
 impl EngineObs {
@@ -345,7 +345,6 @@ impl EngineObs {
             flush_queue_depth: registry.gauge(names::ENGINE_FLUSH_QUEUE_DEPTH),
             read_path: registry.counter(names::QUERY_READ_PATH),
             sorted_on_read: registry.counter(names::QUERY_SORTED_ON_READ),
-            exclusive_path: registry.counter(names::QUERY_EXCLUSIVE_PATH),
             files_considered: registry.counter(names::QUERY_FILES_CONSIDERED),
             files_pruned: registry.counter(names::QUERY_FILES_PRUNED),
             files_pruned_by_filter: registry.counter(names::QUERY_FILES_PRUNED_BY_FILTER),
@@ -360,6 +359,7 @@ impl EngineObs {
             flush_write_nanos: registry.counter(names::FLUSH_WRITE_NANOS),
             flush_points: registry.counter(names::FLUSH_POINTS),
             flush_bytes: registry.counter(names::FLUSH_BYTES),
+            file_parse: registry.counter(names::FILE_PARSE),
             registry,
         }
     }
@@ -528,8 +528,8 @@ impl StorageEngine {
     }
 
     /// Starts an unsampled trace for rare lifecycle work (flush,
-    /// compaction); same opt-outs as [`Self::maybe_trace`] minus the
-    /// sampler.
+    /// compaction, WAL rotation); same opt-outs as
+    /// [`Self::maybe_trace`] minus the sampler.
     pub(crate) fn trace_always(
         &self,
         root: &'static str,
@@ -553,9 +553,11 @@ impl StorageEngine {
     }
 
     /// The engine's metrics registry — every internal observable
-    /// (catalogued in [`backsort_obs::names`]) plus the lifecycle span
-    /// tracer. Render it with `render_prometheus()` / `render_json()` or
-    /// diff [`Registry::snapshot`]s around a workload phase.
+    /// (catalogued in [`backsort_obs::names`]) plus the trace store
+    /// holding sampled query trees and the `flush.root`,
+    /// `compaction.root` and `wal.rotate` lifecycle roots. Render it
+    /// with `render_prometheus()` / `render_json()` or diff
+    /// [`Registry::snapshot`]s around a workload phase.
     pub fn obs(&self) -> &Arc<Registry> {
         &self.obs.registry
     }
@@ -573,6 +575,15 @@ impl StorageEngine {
 
     pub(crate) fn alloc_file_id(&self) -> u64 {
         self.next_file_id.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Parses an image into a [`FileHandle`] under a fresh file id,
+    /// counting the parse on this engine's `file.parse`. Every install
+    /// (flush, recovery, adoption, compaction) goes through here, so
+    /// queries provably never re-parse a footer.
+    pub(crate) fn parse_file(&self, image: Vec<u8>) -> Option<FileHandle> {
+        self.obs.file_parse.inc();
+        FileHandle::parse(self.alloc_file_id(), image)
     }
 
     /// The active configuration.
@@ -825,9 +836,8 @@ impl StorageEngine {
                 Some(&self.obs.registry),
             );
             if metrics.points > 0 {
-                let id = self.alloc_file_id();
                 // analyzer:allow(panic-freedom): the image was produced by our own encoder one call above; dropping it on a parse error would silently lose acked writes
-                let handle = FileHandle::parse(id, image).expect("flushed image parses");
+                let handle = self.parse_file(image).expect("flushed image parses");
                 st.files.push(handle);
             }
             st.flush_history.push(metrics);
@@ -855,7 +865,7 @@ impl StorageEngine {
     /// the level the manifest recorded, so a reopened engine resumes the
     /// leveling ladder instead of re-treating merged output as fresh L0.
     pub fn adopt_file_at_level(&self, image: Vec<u8>, level: u32) -> Option<Vec<(usize, u64)>> {
-        let handle = FileHandle::parse(self.alloc_file_id(), image)?.with_level(level);
+        let handle = self.parse_file(image)?.with_level(level);
         let metas: Vec<(SeriesKey, i64)> = handle
             .chunks()
             .iter()
@@ -1172,6 +1182,10 @@ impl StorageEngine {
             format!("flush shard={}", job.shard)
         });
         obs_trace::add_attr(names::ATTR_SHARD, job.shard as u64);
+        obs_trace::add_attr(
+            names::ATTR_QUEUE_WAIT_NANOS,
+            job.submitted.elapsed().as_nanos() as u64,
+        );
         let span_encode = obs_trace::span(names::SPAN_FLUSH_ENCODE);
         let (image, metrics) = flush_memtable_observed(
             &mut job.memtable,
@@ -1190,8 +1204,8 @@ impl StorageEngine {
         // Parse the chunk index outside the lock too — installing the
         // handle is then just a push.
         // analyzer:allow(panic-freedom): the image was produced by our own encoder one call above; dropping it on a parse error would silently lose acked writes
-        let handle = (metrics.points > 0)
-            .then(|| FileHandle::parse(self.alloc_file_id(), image).expect("flushed image parses"));
+        let handle =
+            (metrics.points > 0).then(|| self.parse_file(image).expect("flushed image parses"));
         let mut st = self.shards[job.shard].write();
         if let Some(handle) = handle {
             st.files.push(handle);
@@ -1201,11 +1215,6 @@ impl StorageEngine {
         drop(st);
         self.obs.flush_queue_depth.dec();
         self.obs.record_flush(job.shard, &metrics);
-        self.obs.registry.tracer().record(
-            names::SPAN_FLUSH,
-            format!("shard={} points={}", job.shard, metrics.points),
-            job.submitted.elapsed().as_nanos() as u64,
-        );
         metrics
     }
 
@@ -1229,9 +1238,8 @@ impl StorageEngine {
         let (image, metrics) =
             flush_memtable_observed(&mut flushing, &self.config.sorter, Some(&self.obs.registry));
         if metrics.points > 0 {
-            let id = self.alloc_file_id();
             // analyzer:allow(panic-freedom): the image was produced by our own encoder one call above; dropping it on a parse error would silently lose acked writes
-            let handle = FileHandle::parse(id, image).expect("flushed image parses");
+            let handle = self.parse_file(image).expect("flushed image parses");
             st.files.push(handle);
         }
         st.flush_history.push(metrics);
@@ -1275,17 +1283,9 @@ impl StorageEngine {
             }
         }
         let mut st = self.shards[shard].write();
-        let start = self.obs.registry.is_enabled().then(Instant::now);
         {
             let _sort = obs_trace::span(names::SPAN_QUERY_SORT_ON_READ);
             sort_key_buffers(&mut st, key, &self.config.sorter, &self.obs);
-        }
-        if let Some(start) = start {
-            self.obs.registry.tracer().record(
-                names::SPAN_SORT_ON_READ,
-                key.to_string(),
-                start.elapsed().as_nanos() as u64,
-            );
         }
         self.obs.sorted_on_read.inc();
         query_with_state(&st, key, t_lo, t_hi, self)
@@ -1352,55 +1352,6 @@ impl StorageEngine {
         plan
     }
 
-    /// The pre-overhaul query path, kept as the benchmark baseline:
-    /// unconditionally takes the shard lock *exclusively* (serializing
-    /// all of that shard's readers and writers, as the paper observes in
-    /// §VI-D1) and resolves duplicates by collecting every candidate
-    /// point and re-sorting, instead of streaming the merge. Returns
-    /// exactly what [`StorageEngine::query`] returns.
-    pub fn query_exclusive(&self, key: &SeriesKey, t_lo: i64, t_hi: i64) -> QueryResult {
-        let mut st = self.shards[self.shard_of(&key.device)].write();
-        sort_key_buffers(&mut st, key, &self.config.sorter, &self.obs);
-        self.obs.exclusive_path.inc();
-
-        let mut merged: Vec<(i64, TsValue, u8)> = Vec::new();
-        if needs_disk(&st, key, t_lo) {
-            for (file_idx, handle) in st.files.iter().enumerate() {
-                for chunk in handle.points_in_range(key, t_lo, t_hi) {
-                    for (t, v) in chunk {
-                        let erased = st
-                            .tombstones
-                            .iter()
-                            .any(|(ts, horizon)| file_idx < *horizon && ts.covers(key, t));
-                        if !erased {
-                            merged.push((t, v, 0));
-                        }
-                    }
-                }
-            }
-        }
-        for (i, buffer) in key_buffers(&st, key).enumerate() {
-            let priority = i as u8 + 1;
-            let start = buffer.lower_bound(t_lo);
-            for idx in start..buffer.len() {
-                let (t, v) = buffer.get(idx);
-                if t > t_hi {
-                    break;
-                }
-                merged.push((t, v, priority));
-            }
-        }
-
-        // Sort by (time, priority) and keep the highest-priority point
-        // per timestamp.
-        merged.sort_by_key(|&(t, _, p)| (t, p));
-        let mut out: QueryResult = Vec::with_capacity(merged.len());
-        for (t, v, _) in merged {
-            push_last_wins(&mut out, t, v);
-        }
-        out
-    }
-
     /// The freshest point of a sensor across memtables and flushed data,
     /// honoring deletions and duplicate-timestamp overrides. Same
     /// double-checked locking as [`StorageEngine::query`]: read lock
@@ -1417,17 +1368,9 @@ impl StorageEngine {
             }
         }
         let mut st = self.shards[shard].write();
-        let start = self.obs.registry.is_enabled().then(Instant::now);
         {
             let _sort = obs_trace::span(names::SPAN_QUERY_SORT_ON_READ);
             sort_key_buffers(&mut st, key, &self.config.sorter, &self.obs);
-        }
-        if let Some(start) = start {
-            self.obs.registry.tracer().record(
-                names::SPAN_SORT_ON_READ,
-                key.to_string(),
-                start.elapsed().as_nanos() as u64,
-            );
         }
         self.obs.sorted_on_read.inc();
         latest_value_with_state(&st, key, self)
@@ -1520,7 +1463,7 @@ fn sort_key_buffers(st: &mut ShardState, key: &SeriesKey, sorter: &Algorithm, ob
 
 /// Whether a `[t_lo, ..]` range can reach flushed data: only when it
 /// starts at or below the key's flush watermark (the shared
-/// watermark-consulting check of `query` / `query_exclusive` /
+/// watermark-consulting check of `query`, `explain_query` and
 /// `latest_value`).
 fn needs_disk(st: &ShardState, key: &SeriesKey, t_lo: i64) -> bool {
     st.watermarks.get(key).is_some_and(|&w| t_lo <= w)

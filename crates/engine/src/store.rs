@@ -917,7 +917,11 @@ impl DurableEngine {
     }
 
     fn persist_and_rotate(&mut self) -> StoreResult<()> {
-        let span_start = std::time::Instant::now();
+        let _trace = self
+            .engine
+            .trace_always(backsort_obs::names::SPAN_WAL_ROTATE, || {
+                format!("wal rotate from generation={}", self.generation)
+            });
         self.faults
             .hit(fault_sites::STORE_ROTATE_BEGIN)
             .map_err(StoreError::Wal)?;
@@ -995,13 +999,10 @@ impl DurableEngine {
                 &self.dir.join(format!("wal-{gen}.log")),
             );
         }
-        let obs = self.engine.obs();
-        obs.counter(backsort_obs::names::WAL_ROTATIONS).inc();
-        obs.tracer().record(
-            backsort_obs::names::SPAN_WAL_ROTATE,
-            format!("generation={}", self.generation),
-            span_start.elapsed().as_nanos() as u64,
-        );
+        self.engine
+            .obs()
+            .counter(backsort_obs::names::WAL_ROTATIONS)
+            .inc();
         Ok(())
     }
 
@@ -1344,6 +1345,30 @@ mod tests {
                 wal_floor: 12,
             })
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn wal_rotations_are_traced_roots() {
+        let dir = tmpdir("rotate-trace");
+        let mut eng = DurableEngine::open(&dir, config(20)).unwrap();
+        for t in 0..45i64 {
+            eng.write(&key(), t, TsValue::Long(t)).unwrap(); // rotates at 20, 40
+        }
+        eng.flush().unwrap(); // and once more
+        let obs = eng.engine().obs();
+        let rotations: Vec<_> = obs
+            .traces()
+            .recent()
+            .into_iter()
+            .filter(|t| t.spans[0].name == backsort_obs::names::SPAN_WAL_ROTATE)
+            .collect();
+        assert_eq!(rotations.len(), 3, "one wal.rotate root per rotation");
+        assert_eq!(
+            obs.counter_value(backsort_obs::names::WAL_ROTATIONS),
+            rotations.len() as u64
+        );
+        assert!(rotations.iter().all(|t| t.spans[0].parent.is_none()));
         let _ = fs::remove_dir_all(&dir);
     }
 

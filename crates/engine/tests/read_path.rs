@@ -1,14 +1,14 @@
 //! Acceptance tests for the read-path overhaul: queries on sorted data
 //! stay on the shard *read* lock (concurrent readers overlap), file
-//! footers are parsed once per install and never per query, and the new
-//! streaming merge / `latest_value` / `query_exclusive` paths agree with
-//! each other.
+//! footers are parsed once per install and never per query, and the
+//! streaming merge and `latest_value` agree with a chronological replay.
 
+use std::collections::BTreeMap;
 use std::sync::Barrier;
 
-use backsort_core::Algorithm;
-use backsort_engine::read::FileHandle;
+use backsort_core::{Algorithm, BackwardSort, InBlockSort};
 use backsort_engine::{EngineConfig, SeriesKey, StorageEngine, TsValue};
+use backsort_obs::names;
 
 fn engine(memtable_max_points: usize, shards: usize) -> StorageEngine {
     StorageEngine::new(EngineConfig {
@@ -106,43 +106,65 @@ fn file_indexes_parse_once_per_install_not_per_query() {
     };
     eng.adopt_file(image).expect("valid image");
 
-    let parses_before = FileHandle::parse_count();
+    let parses = || eng.obs().counter_value(names::FILE_PARSE);
+    assert_eq!(parses(), 5, "four flushes and one adoption, one parse each");
     for round in 0..100i64 {
         assert!(!eng.query(&key("a"), round, round + 40).is_empty());
         eng.latest_value(&key("a")).expect("data exists");
-        eng.query_exclusive(&key("a"), round, round + 40);
     }
     assert_eq!(
-        FileHandle::parse_count(),
-        parses_before,
+        parses(),
+        5,
         "queries must reuse the cached chunk indexes, never re-parse"
     );
 }
 
 #[test]
-fn query_exclusive_matches_query() {
-    let eng = engine(60, 4);
+fn query_matches_a_chronological_replay() {
+    // Stable in-block sorting: the scenario writes duplicate timestamps
+    // into one buffer, and only a stable sort keeps the later write last.
+    let eng = StorageEngine::new(EngineConfig {
+        memtable_max_points: 60,
+        array_size: 16,
+        sorter: Algorithm::Backward(BackwardSort {
+            in_block: InBlockSort::Stable,
+            ..Default::default()
+        }),
+        shards: 4,
+        ..EngineConfig::default()
+    });
     let keys: Vec<SeriesKey> = (0..4)
         .map(|d| SeriesKey::new(format!("root.sg.d{d}"), "s"))
         .collect();
+    // Oracle: each write replayed in order into a per-key map (last
+    // write wins), each delete removing its range.
+    let mut oracle: Vec<BTreeMap<i64, i64>> = vec![BTreeMap::new(); keys.len()];
     let mut x = 42u64;
     for i in 0..900i64 {
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
-        let k = &keys[(x % 4) as usize];
-        eng.write(k, i + (x % 6) as i64, TsValue::Long(i));
+        let k = (x % 4) as usize;
+        let t = i + (x % 6) as i64;
+        eng.write(&keys[k], t, TsValue::Long(i));
+        oracle[k].insert(t, i);
     }
     eng.delete_range(&keys[0], 100, 140);
+    oracle[0].retain(|t, _| !(100..=140).contains(t));
     eng.flush_unseq();
-    for k in &keys {
+    for (k, expected) in keys.iter().zip(&oracle) {
         for (lo, hi) in [(i64::MIN, i64::MAX), (0, 300), (250, 600), (899, 910)] {
-            assert_eq!(
-                eng.query(k, lo, hi),
-                eng.query_exclusive(k, lo, hi),
-                "{k:?} [{lo}, {hi}]"
-            );
+            let want: Vec<(i64, TsValue)> = expected
+                .range(lo..=hi)
+                .map(|(&t, &v)| (t, TsValue::Long(v)))
+                .collect();
+            assert_eq!(eng.query(k, lo, hi), want, "{k:?} [{lo}, {hi}]");
         }
+        let latest = expected
+            .iter()
+            .next_back()
+            .map(|(&t, &v)| (t, TsValue::Long(v)));
+        assert_eq!(eng.latest_value(k), latest, "{k:?}");
     }
 }
 

@@ -1,9 +1,13 @@
-//! Hierarchical per-request tracing: span trees, a slow-query log, and
-//! Chrome-trace export.
+//! Hierarchical tracing: span trees, a slow-query log, and Chrome-trace
+//! export.
 //!
-//! The flat [`Tracer`](crate::Tracer) ring answers "what lifecycle
-//! events happened recently"; this module answers "why was *this*
-//! query slow". A [`TraceStore::begin`] call opens a trace on the
+//! This is the crate's one event model. It answers both "why was
+//! *this* query slow" (sampled `query.root` trees) and "what lifecycle
+//! work happened recently": every flush (`flush.root`, carrying
+//! `points` and the submit→install `queue_wait_nanos`), compaction pass
+//! (`compaction.root`) and WAL rotation (`wal.rotate`) is an
+//! always-traced root in the same recent ring that `/traces` serves.
+//! A [`TraceStore::begin`] call opens a trace on the
 //! current thread; every [`span`] opened until the matching
 //! [`TraceContext`] finishes becomes a node in one span tree, with its
 //! parent, wall time, and typed attributes (`files_considered`,

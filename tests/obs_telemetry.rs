@@ -145,9 +145,24 @@ fn flush_spans_land_in_the_tracer() {
     }
     let completed = flusher.shutdown();
     assert!(completed > 0, "memtable rotations must have flushed");
-    let spans = registry.tracer().recent();
-    assert!(
-        spans.iter().any(|s| s.kind == names::SPAN_FLUSH),
-        "async flushes must trace submit→install spans, got {spans:?}"
+    let traces = registry.traces().recent();
+    let flushes: Vec<_> = traces
+        .iter()
+        .filter(|t| t.spans.first().map(|s| s.name) == Some(names::SPAN_FLUSH_ROOT))
+        .collect();
+    assert_eq!(
+        flushes.len(),
+        completed,
+        "every async flush must land a flush.root trace, got {traces:?}"
     );
+    for t in &flushes {
+        assert!(t.attr_total(names::ATTR_POINTS) > 0, "{t:?}");
+        assert!(
+            t.spans[0]
+                .attrs
+                .iter()
+                .any(|(k, _)| *k == names::ATTR_QUEUE_WAIT_NANOS),
+            "flush.root must carry the submit wait: {t:?}"
+        );
+    }
 }
